@@ -1,7 +1,8 @@
 """Shared benchmark helpers: table printing and common setups.
 
-Each benchmark regenerates one artifact of the paper's evaluation
-(EXPERIMENTS.md maps experiment ids to paper figures/tables).  Benches
+Each benchmark regenerates one artifact of the paper's evaluation (the
+"Benchmarks" section of README.md maps each bench to its paper figure,
+table or claim).  Benches
 print the same rows/series the paper reports; pytest-benchmark records
 the wall-clock of the core operation.
 """

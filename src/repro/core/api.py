@@ -18,6 +18,8 @@ stable shim over the same strategy registry.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -46,6 +48,28 @@ from ..search import (
 from ..sqlast import Node
 
 
+#: Integer-valued fields of :class:`GenerationConfig`.
+_INT_FIELDS = ("k_assignments", "max_walk_steps", "max_iterations", "seed", "final_cap")
+
+
+def _check_number(name: str, value: object, integral: bool, allow_inf: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a usable number.
+
+    ``bool`` is rejected although it is an ``int``: ``True`` as a budget
+    or a seed is a caller's mistake, not a number.
+    """
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if integral else "a number"
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    if integral:
+        return
+    if math.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
+    if math.isinf(value) and not allow_inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """End-to-end generation settings.
@@ -57,7 +81,8 @@ class GenerationConfig:
     Attributes:
         strategy: search strategy (``"mcts"`` is the paper's); must be
             registered (see :func:`repro.registry.register_strategy`).
-        time_budget_s: wall-clock search budget (paper used ~60 s).
+        time_budget_s: wall-clock search budget (paper used ~60 s);
+            ``inf`` means no time stop.
         k_assignments: widget-assignment samples per state reward.
         exploration_c: UCT exploration constant (MCTS only).
         max_walk_steps: random-walk cap (paper: 200).
@@ -81,6 +106,14 @@ class GenerationConfig:
     final_cap: int = 4000
 
     def __post_init__(self) -> None:
+        _check_number("time_budget_s", self.time_budget_s, integral=False, allow_inf=True)
+        _check_number("exploration_c", self.exploration_c, integral=False)
+        for name in _INT_FIELDS:
+            _check_number(name, getattr(self, name), integral=True)
+        if not isinstance(self.weights, CostWeights):
+            raise ValueError(f"weights must be a CostWeights, got {self.weights!r}")
+        for f in fields(self.weights):
+            _check_number(f"weights.{f.name}", getattr(self.weights, f.name), integral=False)
         if self.strategy not in strategy_names():
             raise ValueError(
                 f"unknown strategy {self.strategy!r} "

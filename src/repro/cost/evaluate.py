@@ -11,7 +11,8 @@ product is small, coordinate descent otherwise.
 All paths run through the compiled kernel (:mod:`repro.cost.kernel`):
 candidates are *decision vectors*, scored against flat arrays with delta
 re-evaluation between enumeration neighbors, and only the winning vector
-is materialized back into a real widget tree.  Candidate order, RNG
+is materialized back into a real widget tree (for sampled states, only
+once someone reads it).  Candidate order, RNG
 consumption, and tie-breaking replicate the pre-kernel implementations
 exactly, so results are bit-for-bit unchanged — just cheaper.
 """
@@ -19,7 +20,6 @@ exactly, so results are bit-for-bit unchanged — just cheaper.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .. import memo as _memo
@@ -67,13 +67,70 @@ def _batch_for(
     return batch
 
 
-@dataclass(frozen=True)
 class EvaluatedInterface:
-    """A widget tree together with its cost under a model."""
+    """A widget tree together with its cost under a model.
 
-    tree: DTNode
-    widget_tree: WidgetNode
-    breakdown: CostBreakdown
+    Most sampled search states are only ever compared by cost, so
+    :func:`sampled_evaluation` returns a *deferred* evaluation: it keeps
+    the winning decision vector and the cost model, derives the widget
+    tree on the first :attr:`widget_tree` read, and then drops the
+    model.  :func:`repro.search.common.finish_search` reads the widget
+    tree of the interface it delivers, so no delivered report keeps a
+    model (and the kernels it caches) alive.
+
+    Immutable; equality, hashing, ``repr`` and pickling see the widget
+    tree, deriving it first if needed.
+    """
+
+    __slots__ = ("tree", "breakdown", "_widget_tree", "_pending")
+
+    def __init__(
+        self, tree: DTNode, widget_tree: WidgetNode, breakdown: CostBreakdown
+    ) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "breakdown", breakdown)
+        object.__setattr__(self, "_widget_tree", widget_tree)
+        #: ``(model, vector)`` until the widget tree is derived.
+        object.__setattr__(self, "_pending", None)
+
+    @classmethod
+    def deferred(
+        cls,
+        model: CostModel,
+        tree: DTNode,
+        vector: Tuple[object, ...],
+        breakdown: CostBreakdown,
+    ) -> "EvaluatedInterface":
+        """An evaluation whose widget tree is derived on first read."""
+        evaluated = cls(tree, None, breakdown)  # type: ignore[arg-type]
+        object.__setattr__(evaluated, "_pending", (model, vector))
+        return evaluated
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("EvaluatedInterface is immutable")
+
+    @property
+    def widget_tree(self) -> WidgetNode:
+        widget_tree = self._widget_tree
+        if widget_tree is None:
+            pending = self._pending
+            if pending is None:  # derived meanwhile by another thread
+                return self._widget_tree
+            model, vector = pending
+            widget_tree = model.kernel_for(self.tree).materialize(vector)
+            object.__setattr__(self, "_widget_tree", widget_tree)
+            object.__setattr__(self, "_pending", None)
+        return widget_tree
+
+    @property
+    def deferred_pending(self) -> bool:
+        """Whether the widget tree is still underived (a model is held)."""
+        return self._pending is not None
+
+    def materialize(self) -> "EvaluatedInterface":
+        """Derive the widget tree now, dropping the model; returns self."""
+        self.widget_tree
+        return self
 
     @property
     def cost(self) -> float:
@@ -83,6 +140,26 @@ class EvaluatedInterface:
     def rank(self):
         """Feasibility-aware comparison key (see CostBreakdown.rank)."""
         return self.breakdown.rank
+
+    def _fields(self) -> Tuple[DTNode, WidgetNode, CostBreakdown]:
+        return (self.tree, self.widget_tree, self.breakdown)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvaluatedInterface):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"EvaluatedInterface(tree={self.tree!r}, "
+            f"widget_tree={self.widget_tree!r}, breakdown={self.breakdown!r})"
+        )
+
+    def __reduce__(self):
+        return (EvaluatedInterface, self._fields())
 
 
 def _materialized(
@@ -103,7 +180,9 @@ def sampled_evaluation(
     """Best of ``k`` sampled widget assignments for ``tree``.
 
     Samples are decision vectors drawn with the same RNG consumption as
-    chooser-driven derivation; only the winner becomes a widget tree.
+    chooser-driven derivation.  The result is deferred (see
+    :class:`EvaluatedInterface`): the winner becomes a widget tree only
+    if someone reads it.
     """
     rng = rng or random.Random(0)
     kernel = model.kernel_for(tree)
@@ -120,7 +199,9 @@ def sampled_evaluation(
     if batch is not None:
         bb = batch.evaluate_population(vectors)
         j = bb.best_index()
-        return _materialized(kernel, tuple(vectors[j]), bb.breakdown(j))
+        return EvaluatedInterface.deferred(
+            model, tree, tuple(vectors[j]), bb.breakdown(j)
+        )
     best_vector: Optional[Tuple[object, ...]] = None
     best: Optional[CostBreakdown] = None
     for vector in vectors:
@@ -129,7 +210,7 @@ def sampled_evaluation(
             best = breakdown
             best_vector = tuple(vector)
     assert best is not None and best_vector is not None
-    return _materialized(kernel, best_vector, best)
+    return EvaluatedInterface.deferred(model, tree, best_vector, best)
 
 
 def exhaustive_evaluation(

@@ -312,8 +312,11 @@ def finish_search(
 
     Runs the paper's thorough widget pass on the incumbent, snapshots
     the compiled-kernel counters, and packages the :class:`SearchResult`.
+    The delivered interface gets its widget tree here: a deferred
+    evaluation (see :class:`~repro.cost.EvaluatedInterface`) would keep
+    the cost model, and every kernel it caches, alive in each report.
     """
-    best = evaluator.finalize(final_cap=final_cap)
+    best = evaluator.finalize(final_cap=final_cap).materialize()
     evaluator.snapshot_kernel_stats()
     return SearchResult(
         best=best,

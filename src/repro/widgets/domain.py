@@ -14,9 +14,10 @@ express ``TOP 10/100/1000`` but not ``objid``-vs-``count(*)``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
+from .. import memo as _memo
 from ..difftree import ANY, EMPTY, MULTI, OPT, DTNode
 from ..difftree.dtnodes import ALL
 from ..sqlast import nodes as N
@@ -33,6 +34,13 @@ COUNT = "count"  # MULTI domains
 _NUMERIC_LEAF_LABELS = frozenset({N.NUMEXPR, N.TOP, N.LIMIT})
 #: AST labels whose scalar value is a string.
 _STRING_LEAF_LABELS = frozenset({N.STREXPR, N.COLEXPR, N.TABLE})
+
+#: Interned choice node -> its domain.  Domains and labels are pure
+#: functions of the (immutable, interned) node, and every kernel compile
+#: and widget-tree derivation asks for them again.
+_DOMAINS = _memo.memo_table(8192, name="widgets.domains")
+#: Interned difftree node -> its full (untruncated) display label.
+_LABELS = _memo.memo_table(16384, name="widgets.labels")
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,19 @@ class ChoiceDomain:
 
 
 def domain_of(node: DTNode) -> ChoiceDomain:
-    """Extract the domain of a choice node.
+    """Extract the domain of a choice node (memoized per node).
 
     Raises:
         ValueError: for non-choice nodes.
     """
+    domain = _DOMAINS.get(node)
+    if domain is None:
+        domain = _extract_domain(node)
+        _DOMAINS[node] = domain
+    return domain
+
+
+def _extract_domain(node: DTNode) -> ChoiceDomain:
     if node.kind == OPT:
         return ChoiceDomain(kind=BOOLEAN, labels=("off", "on"), values=(False, True))
     if node.kind == MULTI:
@@ -167,6 +183,15 @@ def option_label(node: DTNode, limit: int = 40) -> str:
 
 
 def _label(node: DTNode) -> str:
+    """The full display label of ``node`` (memoized per node)."""
+    text = _LABELS.get(node)
+    if text is None:
+        text = _render_label(node)
+        _LABELS[node] = text
+    return text
+
+
+def _render_label(node: DTNode) -> str:
     if node.kind == EMPTY:
         return "(none)"
     if node.kind == ANY:

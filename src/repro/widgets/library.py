@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from .. import memo as _memo
 from .domain import BOOLEAN, COUNT, NUMERIC, RANGE, STRING, SUBTREE, ChoiceDomain
 
 # Size classes (paper: "we predefine small, medium and large ... templates").
@@ -304,12 +305,20 @@ def widget_type(name: str) -> WidgetType:
         ) from None
 
 
+#: Domain -> its candidate widgets (a pure function of the domain).
+_CANDIDATES = _memo.memo_table(4096, name="widgets.candidates")
+
+
 def candidates_for(domain: ChoiceDomain) -> Tuple[WidgetType, ...]:
     """Interaction widgets that can express ``domain``, best-``M`` first."""
-    options = [
-        w
-        for w in INTERACTION_WIDGETS.values()
-        if w.name != "label" and w.can_express(domain)
-    ]
-    options.sort(key=lambda w: (w.appropriateness(domain), w.name))
-    return tuple(options)
+    candidates = _CANDIDATES.get(domain)
+    if candidates is None:
+        options = [
+            w
+            for w in INTERACTION_WIDGETS.values()
+            if w.name != "label" and w.can_express(domain)
+        ]
+        options.sort(key=lambda w: (w.appropriateness(domain), w.name))
+        candidates = tuple(options)
+        _CANDIDATES[domain] = candidates
+    return candidates
